@@ -216,14 +216,30 @@ class DdbSystem:
         self._timestamp_counter += 1
         record = TransactionRecord(spec=spec, timestamp=self._timestamp_counter)
         self.transactions[spec.tid] = record
-        self._start_incarnation(record, at)
+        start = self._next_incarnation(record)
+        if at is None or at <= self.now:
+            start()
+        else:
+            self.transport.schedule_at(at, start, name=f"begin T{spec.tid}")
 
     def restart(self, tid: TransactionId, delay: float = 0.0) -> None:
-        """Start the next incarnation of an aborted transaction."""
-        record = self.transactions[tid]
-        self._start_incarnation(record, self.now + delay)
+        """Start the next incarnation of an aborted transaction.
 
-    def _start_incarnation(self, record: TransactionRecord, at: float | None) -> None:
+        The start rests on one clock read and goes to the transport as a
+        delay, not as an absolute time: on the asyncio and cluster
+        backends the clock moves between two reads, so a time computed
+        from an earlier read may already be past when it is scheduled.
+        """
+        record = self.transactions[tid]
+        start = self._next_incarnation(record)
+        now = self.now
+        if now + delay <= now:  # a delay that does not move the clock
+            start()
+        else:
+            self.transport.schedule(delay, start, name=f"begin T{tid}")
+
+    def _next_incarnation(self, record: TransactionRecord) -> Callable[[], None]:
+        """Count a new incarnation; return the action that begins it."""
         record.incarnation += 1
         incarnation = record.incarnation
         home = self.controllers[record.spec.home]
@@ -233,10 +249,7 @@ class DdbSystem:
                 record.first_begin = self.now
             home.begin(record.spec, incarnation, timestamp=record.timestamp)
 
-        if at is None or at <= self.now:
-            start()
-        else:
-            self.transport.schedule_at(at, start, name=f"begin T{record.spec.tid}")
+        return start
 
     def on_transaction_finished(self, execution: TransactionExecution, aborted: bool) -> None:
         """Controller callback on commit or abort."""

@@ -6,18 +6,19 @@ probes each computation may send -- so a flat event list is the wrong shape
 for inspecting a run.  This package folds the structured trace recorded by
 :class:`repro.sim.trace.Tracer` into higher-level artifacts:
 
-* :mod:`repro.obs.spans` -- reconstruct each probe computation ``(i, n)``
-  as a :class:`~repro.obs.spans.ProbeComputationSpan`: initiation, every
-  probe hop with its latency split, the outcome, and machine-checked
-  section 4 probe bounds.
+* :mod:`repro.obs.spans` -- each probe computation ``(i, n)`` as a
+  :class:`~repro.obs.spans.ProbeComputationSpan`: initiation, every probe
+  hop with its latency split, the outcome, and machine-checked section 4
+  probe bounds; :func:`~repro.obs.spans.build_spans` folds a finished
+  trace into them.
 * :mod:`repro.obs.export` -- lossless JSONL round-trip of traces plus
   Chrome trace-event JSON (loadable in Perfetto / ``chrome://tracing``).
 * :mod:`repro.obs.profile` -- opt-in wall-clock profiling of the simulator
   itself (events/sec, queue depth, per-handler-category time).  This is the
   **only** module in the scoped packages allowed to read the wall clock
   (lint rule RPX002's documented allowlist).
-* :mod:`repro.obs.stream` -- the incremental twin of the span fold: a
-  category-scoped tracer subscription rebuilds spans one event at a time,
+* :mod:`repro.obs.stream` -- the span fold itself: category-scoped tracer
+  subscriptions rebuild spans one event at a time,
   emits each computation the moment it resolves, and checks the section 4
   probe bounds online, with memory bounded by the *open* computations.
 * :mod:`repro.obs.metrics` -- labelled live metric families (counters,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any
@@ -135,13 +136,18 @@ class GaugeMetric:
 
 
 class HistogramMetric:
-    """One bucketed distribution series (bounded memory, any run length)."""
+    """One bucketed distribution series (bounded memory, any run length).
+
+    ``observe`` counts each value once, in the first bucket whose bound
+    holds it (found by bisection; the last slot is the ``+Inf`` overflow);
+    :meth:`cumulative_buckets` folds the counts cumulatively on read.
+    """
 
     __slots__ = ("_bucket_counts", "_buckets", "_count", "_sum")
 
     def __init__(self, buckets: Sequence[float]) -> None:
         self._buckets = tuple(buckets)
-        self._bucket_counts = [0] * len(self._buckets)
+        self._bucket_counts = [0] * (len(self._buckets) + 1)
         self._sum = 0.0
         self._count = 0
 
@@ -150,9 +156,7 @@ class HistogramMetric:
             raise ValueError("histograms cannot observe NaN")
         self._sum += value
         self._count += 1
-        for i, bound in enumerate(self._buckets):
-            if value <= bound:
-                self._bucket_counts[i] += 1
+        self._bucket_counts[bisect_left(self._buckets, value)] += 1
 
     @property
     def count(self) -> int:
@@ -170,10 +174,11 @@ class HistogramMetric:
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(le, cumulative count)`` pairs, ending with ``(+Inf, count)``."""
-        pairs = [
-            (bound, count)
-            for bound, count in zip(self._buckets, self._bucket_counts)
-        ]
+        pairs: list[tuple[float, int]] = []
+        cumulative = 0
+        for bound, count in zip(self._buckets, self._bucket_counts):
+            cumulative += count
+            pairs.append((bound, cumulative))
         pairs.append((math.inf, self._count))
         return pairs
 
@@ -451,17 +456,32 @@ class TelemetryRegistry:
         }
 
 
+class _Channel:
+    """One ``(src, dst)`` channel's cached children and in-transit FIFO."""
+
+    __slots__ = ("in_flight", "in_transit", "messages")
+
+    def __init__(self, in_flight: GaugeMetric) -> None:
+        self.in_flight = in_flight
+        #: ``repro_messages_total`` child per message class.
+        self.messages: dict[type, CounterMetric] = {}
+        #: (send time, message class) per message on the wire, for latency
+        #: matching; P4 FIFO delivery makes the popleft correct.
+        self.in_transit: deque[tuple[float, type]] = deque()
+
+
 class TransportTelemetry:
     """Populate a :class:`TelemetryRegistry` from a running transport.
 
-    One category-scoped tracer subscription covers the network layer
-    (per-channel in-flight gauges, per-handler latency histograms) and,
-    per span schema, a :class:`~repro.obs.stream.StreamingSpanEngine`
-    turns settled computations into outcome counters and
-    detection-latency histograms.  Works identically on
-    :class:`~repro.sim.transport.SimTransport` and
-    :class:`~repro.live.transport.AsyncioTransport` -- the subscription
-    rides the same :class:`~repro.sim.trace.Tracer` either backend owns.
+    Category-scoped tracer subscriptions, one handler per category,
+    cover the network layer (per-channel in-flight gauges, per-handler
+    latency histograms) and declarations; per span schema, a
+    :class:`~repro.obs.stream.StreamingSpanEngine` turns settled
+    computations into outcome counters and detection-latency histograms
+    and reports each probe's edge for the per-edge counter.  Works
+    identically on :class:`~repro.sim.transport.SimTransport` and
+    :class:`~repro.live.transport.AsyncioTransport` -- the subscriptions
+    ride the same :class:`~repro.sim.trace.Tracer` either backend owns.
 
     Parameters
     ----------
@@ -501,9 +521,11 @@ class TransportTelemetry:
         #: snapshots taken so far (see :meth:`snapshot_line`).
         self.snapshots = 0
         self._attached = False
-        #: FIFO of (send time, message type) per channel, for latency
-        #: matching; P4 FIFO delivery makes the popleft correct.
-        self._in_transit: dict[tuple[Hashable, Hashable], deque[tuple[float, str]]] = {}
+        # Metric children are cached under the raw ids the events carry,
+        # so the hot path never builds a label key: per channel, per
+        # message class (handler latency) and per edge of each model.
+        self._channels: dict[tuple[Hashable, Hashable], _Channel] = {}
+        self._latency_by_type: dict[type, HistogramMetric] = {}
 
         registry_ = self.registry
         self._in_flight = registry_.gauge(
@@ -560,7 +582,8 @@ class TransportTelemetry:
         )
 
         self.engines: dict[str, StreamingSpanEngine] = {}
-        self._lifecycle: dict[str, tuple[str, SpanSchema]] = {}
+        #: declaration category -> schema, for the declared handler.
+        self._declared: dict[str, SpanSchema] = {}
         for schema in self.schemas:
             engine = StreamingSpanEngine(
                 schema,
@@ -568,10 +591,16 @@ class TransportTelemetry:
                 strict_bounds=strict_bounds,
                 on_span=self._make_span_handler(schema.model),
                 on_violation=self._make_violation_handler(schema.model),
+                on_probe=self._make_probe_handler(schema.model),
             )
             self.engines[schema.model] = engine
-            self._lifecycle[schema.probe_sent] = ("probe_sent", schema)
-            self._lifecycle[schema.declared] = ("declared", schema)
+            self._declared[schema.declared] = schema
+        self._subscriptions: list[tuple[Callable[[TraceEvent], None], tuple[str, ...]]] = [
+            (self._on_net_sent, (categories.NET_SENT,)),
+            (self._on_net_delivered, (categories.NET_DELIVERED,)),
+        ]
+        if self._declared:
+            self._subscriptions.append((self._on_declared, tuple(self._declared)))
         if attach:
             self.attach()
 
@@ -600,42 +629,62 @@ class TransportTelemetry:
 
         return on_violation
 
+    def _make_probe_handler(self, model: str) -> Callable[[Hashable], None]:
+        by_edge: dict[Hashable, CounterMetric] = {}
+
+        def on_probe(edge: Hashable) -> None:
+            counter = by_edge.get(edge)
+            if counter is None:
+                counter = self._edge_probes.labels(model=model, edge=edge)
+                by_edge[edge] = counter
+            counter.inc()
+
+        return on_probe
+
     # ------------------------------------------------------------------
     # Network-layer plumbing
     # ------------------------------------------------------------------
 
-    def _on_event(self, event: TraceEvent) -> None:
-        category = event.category
-        if category == categories.NET_SENT:
-            sender = event["sender"]
-            destination = event["destination"]
-            type_name = type(event.details.get("message")).__name__
-            self._in_flight.labels(src=sender, dst=destination).inc()
-            self._messages.labels(src=sender, dst=destination, type=type_name).inc()
-            self._in_transit.setdefault((sender, destination), deque()).append(
-                (event.time, type_name)
+    def _channel(self, sender: Hashable, destination: Hashable) -> _Channel:
+        channel = self._channels.get((sender, destination))
+        if channel is None:
+            channel = _Channel(self._in_flight.labels(src=sender, dst=destination))
+            self._channels[(sender, destination)] = channel
+        return channel
+
+    def _on_net_sent(self, event: TraceEvent) -> None:
+        details = event.details
+        sender = details["sender"]
+        destination = details["destination"]
+        channel = self._channel(sender, destination)
+        message_type = type(details.get("message"))
+        channel.in_flight.inc()
+        counter = channel.messages.get(message_type)
+        if counter is None:
+            counter = self._messages.labels(
+                src=sender, dst=destination, type=message_type.__name__
             )
-        elif category == categories.NET_DELIVERED:
-            sender = event["sender"]
-            destination = event["destination"]
-            self._in_flight.labels(src=sender, dst=destination).dec()
-            pending = self._in_transit.get((sender, destination))
-            if pending:
-                sent_at, type_name = pending.popleft()
-                self._handler_latency.labels(handler=f"deliver {type_name}").observe(
-                    event.time - sent_at
+            channel.messages[message_type] = counter
+        counter.inc()
+        channel.in_transit.append((event.time, message_type))
+
+    def _on_net_delivered(self, event: TraceEvent) -> None:
+        details = event.details
+        channel = self._channel(details["sender"], details["destination"])
+        channel.in_flight.dec()
+        if channel.in_transit:
+            sent_at, message_type = channel.in_transit.popleft()
+            histogram = self._latency_by_type.get(message_type)
+            if histogram is None:
+                histogram = self._handler_latency.labels(
+                    handler=f"deliver {message_type.__name__}"
                 )
-        else:
-            action = self._lifecycle.get(category)
-            if action is None:
-                return
-            verb, schema = action
-            if verb == "probe_sent":
-                self._edge_probes.labels(
-                    model=schema.model, edge=schema.edge_of(event)
-                ).inc()
-            elif verb == "declared":
-                self._declarations.labels(model=schema.model).inc()
+                self._latency_by_type[message_type] = histogram
+            histogram.observe(event.time - sent_at)
+
+    def _on_declared(self, event: TraceEvent) -> None:
+        model = self._declared[event.category].model
+        self._declarations.labels(model=model).inc()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -646,14 +695,8 @@ class TransportTelemetry:
         if self._attached:
             return
         tracer = self.transport.tracer
-        tracer.subscribe(
-            self._on_event,
-            categories=(
-                categories.NET_SENT,
-                categories.NET_DELIVERED,
-                *self._lifecycle,
-            ),
-        )
+        for handler, observed in self._subscriptions:
+            tracer.subscribe(handler, categories=observed)
         for engine in self.engines.values():
             engine.attach(tracer)
         self._attached = True
@@ -662,7 +705,8 @@ class TransportTelemetry:
         if not self._attached:
             return
         tracer = self.transport.tracer
-        tracer.unsubscribe(self._on_event)
+        for handler, _ in self._subscriptions:
+            tracer.unsubscribe(handler)
         for engine in self.engines.values():
             engine.detach(tracer)
         self._attached = False

@@ -19,22 +19,26 @@ all computations; this module folds it back into one
 
 The fold is schema-driven so the same machinery serves the basic model
 (vertex probes) and the DDB model (controller probes); see
-:data:`BASIC_SPAN_SCHEMA` and :data:`DDB_SPAN_SCHEMA`.
+:data:`BASIC_SPAN_SCHEMA` and :data:`DDB_SPAN_SCHEMA`.  There is one fold,
+:class:`repro.obs.stream.StreamingSpanEngine`; :func:`build_spans` feeds
+it a finished trace.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any
 
 from repro._ids import ProbeTag
 from repro.core.registry import MessageTaxonomy, all_variants
 from repro.errors import BoundViolation
-from repro.sim import categories
 from repro.sim.trace import TraceEvent, Tracer
+
+#: an extractor reads one event's ``details`` mapping.
+Extractor = Callable[[Mapping[str, Any]], Any]
 
 
 class SpanOutcome(Enum):
@@ -57,7 +61,9 @@ class SpanSchema:
 
     The extractor callables isolate the fold from per-model detail-key
     differences (the basic model records ``source``/``target`` vertices,
-    the DDB model records ``site``/``destination``/``edge``).
+    the DDB model records ``site``/``destination``/``edge``).  Each takes
+    the event's ``details`` mapping, not the event, so a plain
+    :func:`operator.itemgetter` serves.
     """
 
     model: str
@@ -67,13 +73,13 @@ class SpanSchema:
     declared: str
     #: network pids ``(sender, destination)`` of a probe-sent event; used
     #: both as hop endpoints and to match ``net.sent``/``net.delivered``.
-    sent_endpoints: Callable[[TraceEvent], tuple[Hashable, Hashable]]
+    sent_endpoints: Extractor
     #: canonical wait-for-graph edge label of a sent/received probe event;
     #: the section 4 bound counts probes per *this* label.
-    edge_of: Callable[[TraceEvent], Hashable]
+    edge_of: Extractor
     #: who declared (step A1): the vertex in the basic model, the victim
     #: process in the DDB model.
-    declared_by: Callable[[TraceEvent], object]
+    declared_by: Extractor
 
 
 def schema_from_taxonomy(model: str, taxonomy: MessageTaxonomy) -> SpanSchema:
@@ -83,25 +89,18 @@ def schema_from_taxonomy(model: str, taxonomy: MessageTaxonomy) -> SpanSchema:
     turns the keys into the extractor callables the fold runs.  A single
     edge key reads that detail verbatim (the DDB model records a canonical
     ``edge`` label); several keys form a tuple label (the basic model's
-    ``(source, target)``).
+    ``(source, target)``) -- exactly what :func:`operator.itemgetter`
+    returns for one key and for several.
     """
-    sender_key, destination_key = taxonomy.endpoint_keys
-    edge_keys = taxonomy.edge_keys
-    declared_by_key = taxonomy.declared_by_key
-    if len(edge_keys) == 1:
-        single_key = edge_keys[0]
-        edge_of: Callable[[TraceEvent], Hashable] = lambda e: e[single_key]  # noqa: E731
-    else:
-        edge_of = lambda e: tuple(e[key] for key in edge_keys)  # noqa: E731
     return SpanSchema(
         model=model,
         initiated=taxonomy.initiated,
         probe_sent=taxonomy.probe_sent,
         probe_received=taxonomy.probe_received,
         declared=taxonomy.declared,
-        sent_endpoints=lambda e: (e[sender_key], e[destination_key]),
-        edge_of=edge_of,
-        declared_by=lambda e: e[declared_by_key],
+        sent_endpoints=itemgetter(*taxonomy.endpoint_keys),
+        edge_of=itemgetter(*taxonomy.edge_keys),
+        declared_by=itemgetter(taxonomy.declared_by_key),
     )
 
 
@@ -109,7 +108,7 @@ def _registered_schemas() -> dict[str, SpanSchema]:
     """One schema per registered variant model that declares a taxonomy.
 
     Built exactly once at import: ``SpanSchema`` equality falls back to
-    the identity of its extractor lambdas, so every consumer must share
+    the identity of its extractor callables, so every consumer must share
     these instances rather than re-deriving their own.
     """
     schemas: dict[str, SpanSchema] = {}
@@ -130,7 +129,7 @@ BASIC_SPAN_SCHEMA = SCHEMAS_BY_MODEL["basic"]
 DDB_SPAN_SCHEMA = SCHEMAS_BY_MODEL["ddb"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeHop:
     """One probe travelling one edge within one computation.
 
@@ -179,7 +178,7 @@ class ProbeHop:
         return self.received_at is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeComputationSpan:
     """One probe computation ``(i, n)``, end to end."""
 
@@ -261,10 +260,6 @@ def check_probe_bounds(
         span.check_bounds(n_vertices=n_vertices)
 
 
-def _tag_of(value: Any) -> ProbeTag | None:
-    return value if isinstance(value, ProbeTag) else None
-
-
 def build_spans(
     source: Tracer | Iterable[TraceEvent],
     schema: SpanSchema = BASIC_SPAN_SCHEMA,
@@ -274,117 +269,11 @@ def build_spans(
     ``source`` is a live :class:`~repro.sim.trace.Tracer` or any iterable
     of events (e.g. re-imported via :func:`repro.obs.export.read_jsonl`).
     Events of other categories are ignored, so the full mixed trace of a
-    run can be passed as-is.  Spans come back ordered by initiation time.
+    run can be passed as-is.  Spans come back ordered by initiation time
+    (:func:`repro.obs.stream.span_sort_key`).  The fold itself is
+    :class:`repro.obs.stream.StreamingSpanEngine`, run to the end of the
+    trace.
     """
-    spans: dict[ProbeTag, ProbeComputationSpan] = {}
-    # FIFO queues of hops awaiting their receive / net events, keyed by
-    # (tag, edge) and (tag, sender, destination) respectively.  FIFO per
-    # key mirrors the network's per-channel FIFO guarantee.
-    awaiting_receive: dict[tuple[ProbeTag, Hashable], deque[ProbeHop]] = {}
-    awaiting_net: dict[tuple[ProbeTag, Hashable, Hashable], deque[ProbeHop]] = {}
+    from repro.obs.stream import stream_spans
 
-    def span_for(tag: ProbeTag, time: float) -> ProbeComputationSpan:
-        span = spans.get(tag)
-        if span is None:
-            span = ProbeComputationSpan(
-                tag=tag, initiator=tag.initiator, initiated_at=None, end_time=time
-            )
-            spans[tag] = span
-        span.end_time = max(span.end_time, time)
-        return span
-
-    for event in source:
-        category = event.category
-        if category == schema.initiated:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                continue
-            span = span_for(tag, event.time)
-            if span.initiated_at is None:
-                span.initiated_at = event.time
-        elif category == schema.probe_sent:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                continue
-            span = span_for(tag, event.time)
-            sender, destination = schema.sent_endpoints(event)
-            hop = ProbeHop(
-                tag=tag,
-                source=sender,
-                target=destination,
-                edge=schema.edge_of(event),
-                sent_at=event.time,
-            )
-            span.hops.append(hop)
-            awaiting_receive.setdefault((tag, hop.edge), deque()).append(hop)
-            awaiting_net.setdefault((tag, sender, destination), deque()).append(hop)
-        elif category == schema.probe_received:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                continue
-            span = span_for(tag, event.time)
-            edge = schema.edge_of(event)
-            pending = awaiting_receive.get((tag, edge))
-            if pending:
-                hop = pending.popleft()
-            else:
-                # Sliced trace: the matching send was not recorded.
-                source_pid: Hashable = event.details.get("source")
-                target_pid: Hashable = event.details.get(
-                    "target", event.details.get("site")
-                )
-                hop = ProbeHop(
-                    tag=tag, source=source_pid, target=target_pid, edge=edge
-                )
-                span.hops.append(hop)
-            hop.received_at = event.time
-            meaningful = event.details.get("meaningful")
-            hop.meaningful = bool(meaningful) if meaningful is not None else None
-        elif category == schema.declared:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                continue
-            span = span_for(tag, event.time)
-            if span.declared_at is None:
-                span.declared_at = event.time
-                span.declared_by = schema.declared_by(event)
-        elif category in (categories.NET_SENT, categories.NET_DELIVERED):
-            message = event.details.get("message")
-            tag = _tag_of(getattr(message, "tag", None))
-            if tag is None:
-                continue
-            key = (tag, event["sender"], event["destination"])
-            pending = awaiting_net.get(key)
-            if not pending:
-                continue
-            if category == categories.NET_SENT:
-                # First hop in the queue that has no net-accept time yet.
-                for hop in pending:
-                    if hop.net_sent_at is None:
-                        hop.net_sent_at = event.time
-                        span_for(tag, event.time)
-                        break
-            else:
-                hop = pending[0]
-                hop.net_delivered_at = event.time
-                pending.popleft()
-                span_for(tag, event.time)
-
-    superseded: dict[int, int] = {}
-    for tag in spans:
-        latest = superseded.get(tag.initiator)
-        if latest is None or tag.sequence > latest:
-            superseded[tag.initiator] = tag.sequence
-    for tag, span in spans.items():
-        if span.declared_at is not None:
-            span.outcome = SpanOutcome.DEADLOCK
-        elif tag.sequence < superseded[tag.initiator]:
-            span.outcome = SpanOutcome.SUPERSEDED
-        else:
-            span.outcome = SpanOutcome.FIZZLED
-
-    def sort_key(span: ProbeComputationSpan) -> tuple[float, int, int]:
-        start = span.initiated_at if span.initiated_at is not None else span.end_time
-        return (start, span.tag.initiator, span.tag.sequence)
-
-    return sorted(spans.values(), key=sort_key)
+    return stream_spans(source, schema)

@@ -1,13 +1,9 @@
-"""Incremental span reconstruction: the streaming twin of :mod:`spans`.
+"""Incremental span reconstruction: the project's one span fold.
 
-:func:`repro.obs.spans.build_spans` folds a *complete* in-memory trace
-after the run -- the wrong shape for the live backend and for
-long-running workloads, where the full trace either does not exist
-(``trace=False``) or must not be buffered.  This module rebuilds the
-same :class:`~repro.obs.spans.ProbeComputationSpan` records one
-:class:`~repro.sim.trace.TraceEvent` at a time, via a category-scoped
-:meth:`~repro.sim.trace.Tracer.subscribe` hook, and emits each span the
-moment its computation ``(i, n)`` resolves:
+This module rebuilds :class:`~repro.obs.spans.ProbeComputationSpan`
+records one :class:`~repro.sim.trace.TraceEvent` at a time, via
+category-scoped :meth:`~repro.sim.trace.Tracer.subscribe` hooks, and
+emits each span the moment its computation ``(i, n)`` resolves:
 
 * **deadlock** -- the A1 declaration arrived and every probe hop of the
   tag has drained (received + net-delivered);
@@ -16,28 +12,29 @@ moment its computation ``(i, n)`` resolves:
 * **fizzled** -- assigned only at :meth:`StreamingSpanEngine.finish`,
   because "no declaration will ever come" is a quiescence-time fact.
 
-Memory is bounded by the *open* computations, not the run length: a
-settled span is evicted together with its matching queues, which is what
-lets a monitor watch an unbounded run.  Settlement is deferred until the
-first event of a *different* tag: probes propagate only inside the
-handler that received them (A0/A2), so once a drained tag's handler has
-moved on, no further event of that tag can exist.
+The same engine serves a live monitor (``repro monitor``, where the full
+trace does not exist under ``trace=False``) and a finished trace
+(:func:`stream_spans`, and :func:`~repro.obs.spans.build_spans` on top of
+it).  Its output is pinned by goldens in ``tests/obs/``.
+
+Memory is bounded by the *open* computations, not the run length: all
+state of one computation lives in one record, keyed by the plain
+``(initiator, sequence)`` tuple, and a settled span is evicted with its
+record -- which is what lets a monitor watch an unbounded run.
+Settlement is deferred until the first event of a *different* tag:
+probes propagate only inside the handler that received them (A0/A2), so
+once a drained tag's handler has moved on, no further event of that tag
+can exist.
 
 The section 4 bounds are checked **online**: the per-edge probe count is
 maintained incrementally and a breach raises (``strict_bounds=True``) or
 records a :class:`~repro.errors.BoundViolation` at the offending
 ``probe.sent`` event -- not after the run, when the evidence has long
 since scrolled past.
-
-Equivalence with the batch fold is a hard contract (the parity suite in
-``tests/obs/test_stream.py`` asserts field-for-field equality on every
-registered variant): :func:`stream_spans` over a full trace returns
-exactly what :func:`~repro.obs.spans.build_spans` does.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Hashable, Iterable
 from typing import Any
 
@@ -55,16 +52,47 @@ from repro.sim.trace import TraceEvent, Tracer
 
 SpanSink = Callable[[ProbeComputationSpan], None]
 ViolationSink = Callable[[BoundViolation], None]
-
-
-def _tag_of(value: Any) -> ProbeTag | None:
-    return value if isinstance(value, ProbeTag) else None
+#: an open computation's key: the plain ``(initiator, sequence)`` of its
+#: tag, which hashes in C (the :class:`ProbeTag` dataclass does not).
+TagKey = tuple[int, int]
 
 
 def span_sort_key(span: ProbeComputationSpan) -> tuple[float, int, int]:
-    """The batch folder's ordering: initiation time, initiator, sequence."""
+    """Initiation order: initiation time, initiator, sequence."""
     start = span.initiated_at if span.initiated_at is not None else span.end_time
     return (start, span.tag.initiator, span.tag.sequence)
+
+
+class _Computation:
+    """Everything the fold holds for one open computation."""
+
+    __slots__ = (
+        "awaiting_net",
+        "awaiting_receive",
+        "edge_counts",
+        "key",
+        "outstanding",
+        "probes",
+        "span",
+    )
+
+    def __init__(self, key: TagKey, span: ProbeComputationSpan) -> None:
+        self.key = key
+        self.span = span
+        #: sent hops awaiting their protocol receive, FIFO per edge label,
+        #: and awaiting their network delivery, FIFO per channel (the
+        #: network's per-channel FIFO guarantee).  Section 4 makes nearly
+        #: every queue one hop long, so they are short lists, dropped
+        #: when they drain.
+        self.awaiting_receive: dict[Hashable, list[ProbeHop]] = {}
+        self.awaiting_net: dict[tuple[Hashable, Hashable], list[ProbeHop]] = {}
+        #: receive and net-delivery matches still owed; zero means no
+        #: future event can belong to the computation (once its producing
+        #: handler has finished).
+        self.outstanding = 0
+        #: probes sent per edge label, and in total (online section 4).
+        self.edge_counts: dict[Hashable, int] = {}
+        self.probes = 0
 
 
 class StreamingSpanEngine:
@@ -73,8 +101,7 @@ class StreamingSpanEngine:
     Parameters
     ----------
     schema:
-        Which model's lifecycle categories to fold (same schemas as the
-        batch folder).
+        Which model's lifecycle categories to fold.
     n_vertices:
         When given, the section 4 total bound (at most ``n(n-1)`` probes
         per computation) is checked online as well as the per-edge bound.
@@ -84,10 +111,14 @@ class StreamingSpanEngine:
     on_span:
         Called once per settled span, at eviction time.  Emission order
         is settlement order, **not** initiation order; sort with
-        :func:`span_sort_key` for the batch folder's ordering.
+        :func:`span_sort_key` for initiation order.
     on_violation:
         Called for every recorded bound violation (also in strict mode,
         just before the raise).
+    on_probe:
+        Called with the edge label of every ``probe.sent`` event, before
+        the online bound check; the telemetry bridge counts probes per
+        edge through it, so the edge is read once per probe.
     """
 
     def __init__(
@@ -98,12 +129,14 @@ class StreamingSpanEngine:
         strict_bounds: bool = False,
         on_span: SpanSink | None = None,
         on_violation: ViolationSink | None = None,
+        on_probe: Callable[[Hashable], None] | None = None,
     ) -> None:
         self.schema = schema
         self.n_vertices = n_vertices
         self.strict_bounds = strict_bounds
         self.on_span = on_span
         self.on_violation = on_violation
+        self.on_probe = on_probe
         #: every bound violation seen so far, in event order.
         self.violations: list[BoundViolation] = []
         #: settled spans emitted so far.
@@ -112,210 +145,237 @@ class StreamingSpanEngine:
         #: bounded-memory claim, made testable.
         self.peak_open = 0
         self._tracer: Tracer | None = None
-
-        self._spans: dict[ProbeTag, ProbeComputationSpan] = {}
-        self._awaiting_receive: dict[tuple[ProbeTag, Hashable], deque[ProbeHop]] = {}
-        self._awaiting_net: dict[
-            tuple[ProbeTag, Hashable, Hashable], deque[ProbeHop]
-        ] = {}
-        #: per-tag hops still awaiting a receive or a net-delivery match;
-        #: zero means no future event can belong to the tag (once its
-        #: producing handler has finished).
-        self._outstanding: dict[ProbeTag, int] = {}
-        #: incremental per-edge probe counts (the online section 4 check).
-        self._edge_counts: dict[ProbeTag, dict[Hashable, int]] = {}
+        self._open: dict[TagKey, _Computation] = {}
         #: highest sequence seen per initiator (section 4.3 supersession).
         self._latest: dict[int, int] = {}
-        #: resolved + drained tags awaiting confirmation by the first
-        #: event of a different tag (probes of a tag are only produced
-        #: inside that tag's own receive handler).
-        self._deferred: dict[ProbeTag, None] = {}
+        #: resolved + drained computations awaiting confirmation by the
+        #: first event of a different tag (probes of a tag are only
+        #: produced inside that tag's own receive handler).
+        self._deferred: dict[TagKey, _Computation] = {}
+        #: one handler per observed category: the tracer calls it directly.
+        self._handlers: dict[str, Callable[[TraceEvent], None]] = {
+            schema.initiated: self._on_initiated,
+            schema.probe_sent: self._on_probe_sent,
+            schema.probe_received: self._on_probe_received,
+            schema.declared: self._on_declared,
+            categories.NET_SENT: self._on_net_sent,
+            categories.NET_DELIVERED: self._on_net_delivered,
+        }
 
     # ------------------------------------------------------------------
     # Subscription plumbing
     # ------------------------------------------------------------------
 
     @property
-    def categories(self) -> tuple[str, ...]:
-        """The trace categories this engine must observe."""
-        schema = self.schema
-        return (
-            schema.initiated,
-            schema.probe_sent,
-            schema.probe_received,
-            schema.declared,
-            categories.NET_SENT,
-            categories.NET_DELIVERED,
-        )
-
-    @property
     def open_computations(self) -> int:
         """Computations currently held in memory (settled ones are gone)."""
-        return len(self._spans)
+        return len(self._open)
 
     def attach(self, tracer: Tracer) -> None:
-        """Subscribe to ``tracer``, category-scoped.
+        """Subscribe to ``tracer``: one handler per category.
 
         The scoped subscription is the whole point: with ``trace=False``
         every category the engine does not watch stays on the tracer's
         zero-cost path, and nothing is ever buffered in the trace log.
         """
-        tracer.subscribe(self.on_event, categories=self.categories)
+        for category, handler in self._handlers.items():
+            tracer.subscribe(handler, categories=(category,))
         self._tracer = tracer
 
     def detach(self, tracer: Tracer) -> None:
-        tracer.unsubscribe(self.on_event)
+        for handler in self._handlers.values():
+            tracer.unsubscribe(handler)
         self._tracer = None
+
+    def on_event(self, event: TraceEvent) -> None:
+        """Consume one event of any category (for replayed traces)."""
+        handler = self._handlers.get(event.category)
+        if handler is not None:
+            handler(event)
 
     # ------------------------------------------------------------------
     # The incremental fold
     # ------------------------------------------------------------------
 
-    def _span_for(self, tag: ProbeTag, time: float) -> ProbeComputationSpan:
-        span = self._spans.get(tag)
-        if span is None:
-            span = ProbeComputationSpan(
+    def _enter(self, tag: Any, time: float) -> _Computation | None:
+        """The record an event of ``tag`` at ``time`` belongs to, opened if
+        new; None when the event carries no probe tag."""
+        if not isinstance(tag, ProbeTag):
+            return None
+        key = (tag.initiator, tag.sequence)
+        if self._deferred:
+            self._flush_deferred(key)
+        computation = self._open.get(key)
+        if computation is not None:
+            _touch(computation.span, time)
+            return computation
+        computation = _Computation(
+            key,
+            ProbeComputationSpan(
                 tag=tag, initiator=tag.initiator, initiated_at=None, end_time=time
-            )
-            self._spans[tag] = span
-            if len(self._spans) > self.peak_open:
-                self.peak_open = len(self._spans)
-            latest = self._latest.get(tag.initiator)
-            if latest is None or tag.sequence > latest:
-                self._latest[tag.initiator] = tag.sequence
-                self._settle_superseded(tag.initiator, tag.sequence)
-        span.end_time = max(span.end_time, time)
-        return span
+            ),
+        )
+        self._open[key] = computation
+        if len(self._open) > self.peak_open:
+            self.peak_open = len(self._open)
+        initiator, sequence = key
+        latest = self._latest.get(initiator)
+        if latest is None:
+            self._latest[initiator] = sequence
+        elif sequence > latest:
+            self._latest[initiator] = sequence
+            # a new latest sequence may resolve older computations of the
+            # same initiator; re-examine them.
+            for other in self._open.values():
+                if other.key[0] == initiator and other.key[1] < sequence:
+                    self._try_settle(other)
+        return computation
 
-    def _settle_superseded(self, initiator: int, latest: int) -> None:
-        """A new latest sequence may resolve older computations of the
-        same initiator; re-examine them."""
-        for tag in list(self._spans):
-            if tag.initiator == initiator and tag.sequence < latest:
-                self._try_settle(tag)
+    def _on_initiated(self, event: TraceEvent) -> None:
+        computation = self._enter(event.details["tag"], event.time)
+        if computation is not None and computation.span.initiated_at is None:
+            computation.span.initiated_at = event.time
 
-    def on_event(self, event: TraceEvent) -> None:
-        """Consume one trace event (the ``Tracer.subscribe`` callback)."""
+    def _on_probe_sent(self, event: TraceEvent) -> None:
+        details = event.details
+        tag = details["tag"]
         schema = self.schema
-        category = event.category
-        if category == schema.initiated:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            span = self._span_for(tag, event.time)
-            if span.initiated_at is None:
-                span.initiated_at = event.time
-        elif category == schema.probe_sent:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            span = self._span_for(tag, event.time)
-            sender, destination = schema.sent_endpoints(event)
+        edge = schema.edge_of(details)
+        if self.on_probe is not None:
+            self.on_probe(edge)
+        time = event.time
+        computation = self._enter(tag, time)
+        if computation is None:
+            return
+        sender, destination = schema.sent_endpoints(details)
+        hop = ProbeHop(tag=tag, source=sender, target=destination, edge=edge, sent_at=time)
+        computation.span.hops.append(hop)
+        by_edge = computation.awaiting_receive.get(edge)
+        if by_edge is None:
+            computation.awaiting_receive[edge] = [hop]
+        else:
+            by_edge.append(hop)
+        channel = (sender, destination)
+        by_channel = computation.awaiting_net.get(channel)
+        if by_channel is None:
+            computation.awaiting_net[channel] = [hop]
+        else:
+            by_channel.append(hop)
+        computation.outstanding += 2
+        self._check_bounds_online(computation, hop)
+
+    def _on_probe_received(self, event: TraceEvent) -> None:
+        details = event.details
+        tag = details["tag"]
+        computation = self._enter(tag, event.time)
+        if computation is None:
+            return
+        edge = self.schema.edge_of(details)
+        pending = computation.awaiting_receive.get(edge)
+        if pending:
+            hop = pending.pop(0)
+            if not pending:
+                del computation.awaiting_receive[edge]
+            computation.outstanding -= 1
+        else:
+            # Sliced trace: the matching send was not recorded.
             hop = ProbeHop(
                 tag=tag,
-                source=sender,
-                target=destination,
-                edge=schema.edge_of(event),
-                sent_at=event.time,
+                source=details.get("source"),
+                target=details.get("target", details.get("site")),
+                edge=edge,
             )
-            span.hops.append(hop)
-            self._awaiting_receive.setdefault((tag, hop.edge), deque()).append(hop)
-            self._awaiting_net.setdefault((tag, sender, destination), deque()).append(
-                hop
-            )
-            self._outstanding[tag] = self._outstanding.get(tag, 0) + 2
-            self._check_bounds_online(span, hop)
-        elif category == schema.probe_received:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            span = self._span_for(tag, event.time)
-            edge = schema.edge_of(event)
-            key = (tag, edge)
-            pending = self._awaiting_receive.get(key)
-            if pending:
-                hop = pending.popleft()
-                if not pending:
-                    del self._awaiting_receive[key]
-                self._outstanding[tag] -= 1
-            else:
-                # Sliced trace: the matching send was not recorded.
-                source_pid: Hashable = event.details.get("source")
-                target_pid: Hashable = event.details.get(
-                    "target", event.details.get("site")
-                )
-                hop = ProbeHop(
-                    tag=tag, source=source_pid, target=target_pid, edge=edge
-                )
-                span.hops.append(hop)
-            hop.received_at = event.time
-            meaningful = event.details.get("meaningful")
-            hop.meaningful = bool(meaningful) if meaningful is not None else None
-            self._try_settle(tag)
-        elif category == schema.declared:
-            tag = _tag_of(event["tag"])
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            span = self._span_for(tag, event.time)
-            if span.declared_at is None:
-                span.declared_at = event.time
-                span.declared_by = schema.declared_by(event)
-            self._try_settle(tag)
-        elif category in (categories.NET_SENT, categories.NET_DELIVERED):
-            message = event.details.get("message")
-            tag = _tag_of(getattr(message, "tag", None))
-            if tag is None:
-                return
-            self._flush_deferred(tag)
-            key = (tag, event["sender"], event["destination"])
-            pending = self._awaiting_net.get(key)
-            if not pending:
-                return
-            if category == categories.NET_SENT:
-                # First hop in the queue that has no net-accept time yet.
-                for hop in pending:
-                    if hop.net_sent_at is None:
-                        hop.net_sent_at = event.time
-                        self._span_for(tag, event.time)
-                        break
-            else:
-                hop = pending.popleft()
-                if not pending:
-                    del self._awaiting_net[key]
-                hop.net_delivered_at = event.time
-                self._span_for(tag, event.time)
-                self._outstanding[tag] -= 1
-                self._try_settle(tag)
+            computation.span.hops.append(hop)
+        hop.received_at = event.time
+        meaningful = details.get("meaningful")
+        hop.meaningful = bool(meaningful) if meaningful is not None else None
+        self._try_settle(computation)
+
+    def _on_declared(self, event: TraceEvent) -> None:
+        details = event.details
+        computation = self._enter(details["tag"], event.time)
+        if computation is None:
+            return
+        span = computation.span
+        if span.declared_at is None:
+            span.declared_at = event.time
+            span.declared_by = self.schema.declared_by(details)
+        self._try_settle(computation)
+
+    def _net_hops(
+        self, event: TraceEvent
+    ) -> tuple[_Computation, tuple[Hashable, Hashable], list[ProbeHop]] | None:
+        """The open record and channel queue a ``net.*`` event matches.
+
+        Unlike the lifecycle events, a network event never opens a record:
+        it only times hops that a ``probe.sent`` event queued.
+        """
+        details = event.details
+        tag = getattr(details.get("message"), "tag", None)
+        if not isinstance(tag, ProbeTag):
+            return None
+        key = (tag.initiator, tag.sequence)
+        if self._deferred:
+            self._flush_deferred(key)
+        computation = self._open.get(key)
+        if computation is None:
+            return None
+        channel = (details["sender"], details["destination"])
+        pending = computation.awaiting_net.get(channel)
+        if not pending:
+            return None
+        return computation, channel, pending
+
+    def _on_net_sent(self, event: TraceEvent) -> None:
+        match = self._net_hops(event)
+        if match is None:
+            return
+        computation, _, pending = match
+        # First hop in the queue that has no net-accept time yet.
+        for hop in pending:
+            if hop.net_sent_at is None:
+                hop.net_sent_at = event.time
+                _touch(computation.span, event.time)
+                break
+
+    def _on_net_delivered(self, event: TraceEvent) -> None:
+        match = self._net_hops(event)
+        if match is None:
+            return
+        computation, channel, pending = match
+        pending.pop(0).net_delivered_at = event.time
+        if not pending:
+            del computation.awaiting_net[channel]
+        _touch(computation.span, event.time)
+        computation.outstanding -= 1
+        self._try_settle(computation)
 
     # ------------------------------------------------------------------
     # Online section 4 bounds
     # ------------------------------------------------------------------
 
-    def _check_bounds_online(self, span: ProbeComputationSpan, hop: ProbeHop) -> None:
-        counts = self._edge_counts.setdefault(span.tag, {})
+    def _check_bounds_online(self, computation: _Computation, hop: ProbeHop) -> None:
+        counts = computation.edge_counts
         count = counts.get(hop.edge, 0) + 1
         counts[hop.edge] = count
+        computation.probes += 1
+        tag = computation.span.tag
         if count == 2:
             self._violate(
                 BoundViolation(
                     "one-probe-per-edge",
-                    f"computation {span.tag} sent a second probe over edge "
+                    f"computation {tag} sent a second probe over edge "
                     f"{hop.edge!r} at t={hop.sent_at} (section 4 allows "
                     "exactly one)",
                 )
             )
         if self.n_vertices is not None:
             limit = self.n_vertices * (self.n_vertices - 1)
-            total = sum(counts.values())
-            if total == limit + 1:
+            if computation.probes == limit + 1:
                 self._violate(
                     BoundViolation(
                         "probes-le-edges",
-                        f"computation {span.tag} exceeded the {limit} possible "
+                        f"computation {tag} exceeded the {limit} possible "
                         f"wait-for edges among {self.n_vertices} vertices at "
                         f"t={hop.sent_at}",
                     )
@@ -332,58 +392,48 @@ class StreamingSpanEngine:
     # Settlement & eviction
     # ------------------------------------------------------------------
 
-    def _resolution(self, tag: ProbeTag) -> SpanOutcome | None:
-        """The outcome already determined for ``tag``, if any.
+    def _resolution(self, computation: _Computation) -> SpanOutcome | None:
+        """The outcome already determined for ``computation``, if any.
 
         FIZZLED is never determined mid-stream: only quiescence proves
         the absence of a future declaration.
         """
-        span = self._spans[tag]
-        if span.declared_at is not None:
+        if computation.span.declared_at is not None:
             return SpanOutcome.DEADLOCK
-        if tag.sequence < self._latest.get(tag.initiator, tag.sequence):
+        initiator, sequence = computation.key
+        if sequence < self._latest[initiator]:
             return SpanOutcome.SUPERSEDED
         return None
 
-    def _try_settle(self, tag: ProbeTag) -> None:
-        if tag not in self._spans or self._outstanding.get(tag, 0) > 0:
-            return
-        if self._resolution(tag) is not None:
-            self._deferred[tag] = None
+    def _try_settle(self, computation: _Computation) -> None:
+        if computation.outstanding == 0 and self._resolution(computation) is not None:
+            self._deferred[computation.key] = computation
 
-    def _flush_deferred(self, current: ProbeTag) -> None:
-        """Evict deferred tags once an event of a *different* tag proves
-        their producing handlers have completed."""
-        if not self._deferred:
-            return
-        for tag in list(self._deferred):
-            if tag == current:
+    def _flush_deferred(self, current: TagKey) -> None:
+        """Evict deferred computations once an event of a *different* tag
+        proves their producing handlers have completed."""
+        deferred = self._deferred
+        for key in list(deferred):
+            if key == current:
                 continue
-            del self._deferred[tag]
-            if tag not in self._spans or self._outstanding.get(tag, 0) > 0:
+            computation = deferred.pop(key)
+            if computation.outstanding > 0:
                 continue
-            outcome = self._resolution(tag)
+            outcome = self._resolution(computation)
             if outcome is not None:
-                self._evict(tag, outcome)
+                self._evict(computation, outcome)
 
-    def _evict(self, tag: ProbeTag, outcome: SpanOutcome) -> None:
-        span = self._spans.pop(tag)
+    def _evict(self, computation: _Computation, outcome: SpanOutcome) -> None:
+        del self._open[computation.key]
+        span = computation.span
         span.outcome = outcome
-        self._outstanding.pop(tag, None)
-        self._edge_counts.pop(tag, None)
-        # Drained tags have no queue entries left; fizzled ones (flushed
-        # by finish) may.  Sweep both keyed maps for stragglers.
-        for key in [k for k in self._awaiting_receive if k[0] == tag]:
-            del self._awaiting_receive[key]
-        for key in [k for k in self._awaiting_net if k[0] == tag]:
-            del self._awaiting_net[key]
         self.emitted += 1
         tracer = self._tracer
         if tracer is not None and tracer.wants(categories.OBS_SPAN_SETTLED):
             tracer.record(
                 span.end_time,
                 categories.OBS_SPAN_SETTLED,
-                tag=tag,
+                tag=span.tag,
                 outcome=outcome.value,
                 probes_sent=span.probes_sent,
                 detection_latency=span.detection_latency,
@@ -395,23 +445,22 @@ class StreamingSpanEngine:
         """Flush every remaining computation at end of stream.
 
         Undetermined spans become FIZZLED (or SUPERSEDED when a later
-        sequence exists), exactly like the batch folder's quiescence-time
-        outcome pass.  Returns the spans emitted *by this call*, in the
-        batch folder's sort order; spans already emitted mid-stream are
+        sequence exists).  Returns the spans emitted *by this call*, in
+        :func:`span_sort_key` order; spans already emitted mid-stream are
         not repeated.
         """
-        flushed: list[ProbeComputationSpan] = []
         self._deferred.clear()
-        for tag in sorted(
-            self._spans, key=lambda t: span_sort_key(self._spans[t])
-        ):
-            span = self._spans[tag]
-            outcome = self._resolution(tag)
-            if outcome is None:
-                outcome = SpanOutcome.FIZZLED
-            self._evict(tag, outcome)
-            flushed.append(span)
-        return flushed
+        remaining = sorted(self._open.values(), key=lambda c: span_sort_key(c.span))
+        for computation in remaining:
+            outcome = self._resolution(computation)
+            self._evict(computation, SpanOutcome.FIZZLED if outcome is None else outcome)
+        return [computation.span for computation in remaining]
+
+
+def _touch(span: ProbeComputationSpan, time: float) -> None:
+    """Stretch ``span`` to cover an event at ``time``."""
+    if time > span.end_time:
+        span.end_time = time
 
 
 def span_to_json(span: ProbeComputationSpan) -> dict[str, Any]:
@@ -456,11 +505,9 @@ def stream_spans(
     n_vertices: int | None = None,
     strict_bounds: bool = False,
 ) -> list[ProbeComputationSpan]:
-    """Run the incremental engine over a complete event stream.
+    """Run the engine over a complete event stream.
 
-    Returns spans in the batch folder's order -- on a full trace the
-    result is field-for-field identical to
-    :func:`repro.obs.spans.build_spans` (the parity contract).
+    Returns every span, in :func:`span_sort_key` order.
     """
     collected: list[ProbeComputationSpan] = []
     engine = StreamingSpanEngine(

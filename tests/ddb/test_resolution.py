@@ -8,6 +8,10 @@ from repro._ids import ResourceId, SiteId, TransactionId
 from repro.ddb.resolution import AbortAboutTransaction, NoResolution
 from repro.ddb.system import DdbSystem
 from repro.ddb.transaction import Think, TransactionExecution, acquire
+from repro.errors import SimulationError
+from repro.sim.network import Network
+from repro.sim.simulator import Simulator
+from repro.sim.transport import SimTransport
 
 from tests.ddb.helpers import X, cross_deadlock, ring_deadlock, spec, two_site_system
 
@@ -135,6 +139,46 @@ class TestRestartLifecycle:
         system.run_to_quiescence()
         assert system.controller(1).agents == {}
         assert not system.controller(1).locks[ResourceId("r1")].holders
+
+
+class CreepingClockTransport(SimTransport):
+    """A sim transport whose clock reads ``step`` later on every read.
+
+    The asyncio and cluster clocks move between two reads the same way,
+    and like them this transport refuses a start time its clock has
+    already passed.
+    """
+
+    def __init__(self, step: float) -> None:
+        simulator = Simulator(seed=0, trace=False)
+        super().__init__(simulator, Network(simulator))
+        self.step = step
+        self.creep = 0.0
+
+    @property
+    def now(self) -> float:
+        self.creep += self.step
+        return self.simulator.clock.now + self.creep
+
+    def schedule_at(self, time, action, name=""):
+        now = self.now
+        if time < now:
+            raise SimulationError(f"cannot schedule at {time}; clock already at {now}")
+        return self.simulator.schedule(time - now, action, name)
+
+
+class TestRestartOnAMovingClock:
+    def test_restart_delay_rests_on_one_clock_read(self) -> None:
+        system = two_site_system(transport=CreepingClockTransport(step=1.0))
+        system.begin(spec(1, 0, acquire(("r0", X)), Think(10.0)))
+        system.run(until=1.0)
+        system.controller(0).abort_transaction(TransactionId(1))
+        # 1.5 units falls between two reads of the clock: a start time
+        # computed from one read is already past at the next.
+        system.restart(TransactionId(1), delay=1.5)
+        system.run_to_quiescence()
+        record = system.transactions[TransactionId(1)]
+        assert (record.incarnation, record.aborts, record.commits) == (2, 1, 1)
 
 
 class TestThroughputUnderContention:

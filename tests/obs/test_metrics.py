@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.basic.system import BasicSystem
+from repro.core.registry import get_variant
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     CounterMetric,
@@ -23,8 +25,20 @@ from repro.obs.metrics import (
     HistogramMetric,
     TelemetryRegistry,
     TransportTelemetry,
+    telemetry_for_variant,
 )
 from repro.obs.spans import BASIC_SPAN_SCHEMA, SpanOutcome
+from repro.obs.stream import span_to_json
+from repro.sim.network import ExponentialDelay, Network
+from repro.sim.simulator import Simulator
+from repro.sim.transport import SimTransport
+from repro.workloads.provision import provision_workload
+from repro.workloads.spec import WorkloadSpec
+
+GOLDEN_RING_PROM = Path(__file__).parent / "golden_ring16.prom"
+GOLDEN_RING_JSON = Path(__file__).parent / "golden_ring16.json"
+RING_VERTICES = 16
+RING_SEED = 3
 
 
 class TestPrimitives:
@@ -223,3 +237,73 @@ class TestTransportTelemetry:
     def test_trace_false_run_still_buffers_nothing(self) -> None:
         system, _ = self.run_deadlock()
         assert len(system.transport.tracer) == 0
+
+
+def monitored_ring():
+    """A seeded, monitored 16-vertex ring with exponential message delays.
+
+    Random delays make the network's FIFO clamp fire and insert deliveries
+    into the event heap out of order, so the exposition sees unequal
+    latencies, several histogram buckets and interleaved computations.
+    Returns the telemetry bridge (finished) and the spans in settlement
+    order.
+    """
+    simulator = Simulator(seed=RING_SEED, trace=False)
+    network = Network(simulator, delay_model=ExponentialDelay(1.0))
+    variant = get_variant("basic")
+    run = provision_workload(
+        variant,
+        WorkloadSpec(family="cycle", n=RING_VERTICES, seed=RING_SEED),
+        transport=SimTransport(simulator, network),
+    )
+    settled: list = []
+    telemetry = telemetry_for_variant(
+        run.system.transport,
+        variant.capabilities,
+        n_vertices=RING_VERTICES,
+        span_sink=settled.append,
+    )
+    run.run_to_quiescence()
+    telemetry.finish()
+    return telemetry, settled
+
+
+def ring_documents() -> tuple[str, dict]:
+    """The pinned outputs of :func:`monitored_ring`: exposition + JSON."""
+    telemetry, settled = monitored_ring()
+    document = {
+        "detection_latencies": telemetry.detection_latencies,
+        "snapshot": telemetry.registry.snapshot(),
+        "spans": [span_to_json(span) for span in settled],
+    }
+    return telemetry.render_prometheus(), json.loads(json.dumps(document))
+
+
+class TestExpositionGolden:
+    """Byte-for-byte pin of what a monitored run exports.
+
+    If this fails because of an *intentional* change to the exported
+    families or the span fold, regenerate with:
+
+        PYTHONPATH=src python -c "
+        from tests.obs.test_metrics import regenerate_ring_goldens
+        regenerate_ring_goldens()"
+    """
+
+    def test_prometheus_exposition_matches_golden(self) -> None:
+        text, _ = ring_documents()
+        assert text == GOLDEN_RING_PROM.read_text()
+
+    def test_latencies_snapshot_and_spans_match_golden(self) -> None:
+        _, document = ring_documents()
+        golden = json.loads(GOLDEN_RING_JSON.read_text())
+        assert document["detection_latencies"] == golden["detection_latencies"]
+        assert document["snapshot"] == golden["snapshot"]
+        assert document["spans"] == golden["spans"]
+        assert len(document["spans"]) >= RING_VERTICES
+
+
+def regenerate_ring_goldens() -> None:  # pragma: no cover - maintenance helper
+    text, document = ring_documents()
+    GOLDEN_RING_PROM.write_text(text)
+    GOLDEN_RING_JSON.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")

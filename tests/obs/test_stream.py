@@ -1,17 +1,24 @@
-"""Streaming-vs-batch parity: the hard contract of :mod:`repro.obs.stream`.
+"""The streaming span fold: goldens, bounded memory, online bounds.
 
-:func:`~repro.obs.stream.stream_spans` (and a live category-scoped
-subscription feeding :class:`~repro.obs.stream.StreamingSpanEngine`) must
-reproduce :func:`~repro.obs.spans.build_spans` **field for field** on every
-registered variant that exports a probe taxonomy, in both the deadlock and
-the clean conformance scenario.  The suite also pins the properties that
-make the engine fit for ``repro monitor``: bounded memory (settled spans
-are evicted, ``peak_open`` stays far below the number of computations),
-zero buffering under ``trace=False``, online section 4 bound detection,
-and the ``obs.span.settled`` trace hook.
+:class:`~repro.obs.stream.StreamingSpanEngine` is the project's only span
+fold; :func:`~repro.obs.spans.build_spans` and
+:func:`~repro.obs.stream.stream_spans` feed it a finished trace, and
+``repro monitor`` feeds it a live category-scoped subscription.  Its
+output is pinned **field for field** (every :func:`span_to_json` field of
+every span and hop) against goldens recorded from the batch fold that
+preceded it, on every registered variant that exports a probe taxonomy,
+in both the deadlock and the clean conformance scenario, plus a mixed
+ping-pong workload.  The suite also pins the properties that make the
+engine fit for ``repro monitor``: bounded memory (settled spans are
+evicted, ``peak_open`` stays far below the number of computations), zero
+buffering under ``trace=False``, online section 4 bound detection, and
+the ``obs.span.settled`` trace hook.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +35,9 @@ from repro.obs.stream import (
 )
 from repro.sim import categories
 from repro.workloads import scenarios
+
+GOLDEN_FOLDS = Path(__file__).parent / "golden_span_folds.json"
+PING_PONG_SEEDS = (0, 1, 7)
 
 
 def monitorable_variants():
@@ -46,6 +56,23 @@ def run_scenario(variant, scenario: str, seed: int = 0):
     return setup.system
 
 
+def run_ping_pong(seed: int) -> BasicSystem:
+    """A mixed workload: fizzled and superseded computations, no deadlock."""
+    system = BasicSystem(n_vertices=6, seed=seed)
+    scenarios.schedule_ping_pong(system, [(0, 1), (2, 3), (4, 5)], repetitions=5)
+    system.run_to_quiescence()
+    return system
+
+
+def as_json(spans) -> list:
+    """Spans as plain JSON values (tuples become lists, as in the golden)."""
+    return json.loads(json.dumps([span_to_json(span) for span in spans]))
+
+
+def golden(case: str) -> list:
+    return json.loads(GOLDEN_FOLDS.read_text())[case]
+
+
 VARIANT_SCENARIOS = [
     (variant.name, scenario)
     for variant in monitorable_variants()
@@ -54,6 +81,16 @@ VARIANT_SCENARIOS = [
 
 
 class TestBatchParity:
+    """The fold reproduces the recorded output of the former batch fold.
+
+    If a test here fails because of an *intentional* change to the fold,
+    regenerate with:
+
+        PYTHONPATH=src python -c "
+        from tests.obs.test_stream import regenerate_fold_goldens
+        regenerate_fold_goldens()"
+    """
+
     def test_suite_covers_every_span_schema(self) -> None:
         # if a new model gains a span schema, it must join this suite
         covered = {variant.capabilities.model for variant in monitorable_variants()}
@@ -65,11 +102,11 @@ class TestBatchParity:
         schema = SCHEMAS_BY_MODEL[variant.capabilities.model]
         system = run_scenario(variant, scenario)
         tracer = system.simulator.tracer
-        batch = build_spans(tracer, schema=schema)
         streamed = stream_spans(tracer, schema)
         if scenario == "deadlock":
-            assert batch, f"{name}/{scenario} produced no probe computations"
-        assert streamed == batch  # dataclass equality: every field, every hop
+            assert streamed, f"{name}/{scenario} produced no probe computations"
+        assert as_json(streamed) == golden(f"{name}/{scenario}")
+        assert build_spans(tracer, schema=schema) == streamed
 
     @pytest.mark.parametrize(("name", "scenario"), VARIANT_SCENARIOS)
     def test_live_subscription_equals_build_spans(
@@ -88,22 +125,33 @@ class TestBatchParity:
         setup.system.run_to_quiescence()
         engine.finish()
         engine.detach(setup.system.simulator.tracer)
-        batch = build_spans(setup.system.simulator.tracer, schema=schema)
-        assert sorted(live, key=span_sort_key) == batch
-        assert engine.emitted == len(batch)
+        expected = golden(f"{name}/{scenario}")
+        assert as_json(sorted(live, key=span_sort_key)) == expected
+        assert engine.emitted == len(expected)
         assert not engine.violations
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("seed", PING_PONG_SEEDS)
     def test_parity_across_seeds_on_mixed_workload(self, seed: int) -> None:
         # ping-pong produces all three outcomes (deadlock never, fizzled
-        # and superseded both); parity must hold on the messy cases too.
-        system = BasicSystem(n_vertices=6, seed=seed)
-        scenarios.schedule_ping_pong(system, [(0, 1), (2, 3), (4, 5)], repetitions=5)
-        system.run_to_quiescence()
-        tracer = system.simulator.tracer
+        # and superseded both); the golden pins the messy cases too.
+        tracer = run_ping_pong(seed).simulator.tracer
         streamed = stream_spans(tracer, n_vertices=6)
-        assert streamed == build_spans(tracer)
+        assert as_json(streamed) == golden(f"ping-pong/{seed}")
         assert SpanOutcome.SUPERSEDED in {span.outcome for span in streamed}
+
+
+def regenerate_fold_goldens() -> None:  # pragma: no cover - maintenance helper
+    cases: dict[str, list] = {}
+    for name, scenario in VARIANT_SCENARIOS:
+        variant = get_variant(name)
+        tracer = run_scenario(variant, scenario).simulator.tracer
+        schema = SCHEMAS_BY_MODEL[variant.capabilities.model]
+        cases[f"{name}/{scenario}"] = as_json(build_spans(tracer, schema=schema))
+    for seed in PING_PONG_SEEDS:
+        cases[f"ping-pong/{seed}"] = as_json(
+            build_spans(run_ping_pong(seed).simulator.tracer)
+        )
+    GOLDEN_FOLDS.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
 
 
 class TestBoundedMemory:
@@ -157,6 +205,36 @@ class TestBoundedMemory:
         assert [span.tag for span in emitted] == [tag_a]
         assert emitted[0].outcome is SpanOutcome.DEADLOCK
         assert engine.open_computations == 1  # tag_b is now open
+
+    def test_finish_leaves_no_per_computation_state(self) -> None:
+        # 40 ping-pong repetitions on 3 pairs: fizzled and superseded
+        # computations, some settled mid-stream and the rest by finish().
+        system = BasicSystem(n_vertices=6, seed=5, strict=False, trace=False)
+        settled: list = []
+        engine = StreamingSpanEngine(n_vertices=6, on_span=settled.append)
+        engine.attach(system.simulator.tracer)
+        scenarios.schedule_ping_pong(
+            system, [(0, 1), (2, 3), (4, 5)], repetitions=40
+        )
+        system.run_to_quiescence()
+        assert [span.outcome for span in settled] == [SpanOutcome.SUPERSEDED] * 234
+        flushed = engine.finish()
+        assert [span.outcome for span in flushed] == [SpanOutcome.FIZZLED] * 6
+        assert engine.emitted == 240
+        assert engine.open_computations == 0
+        assert not engine._deferred
+        # the high-water mark counts open computations, however the
+        # engine stores them: 7 on this run
+        assert engine.peak_open == 7
+        # a computation cut off mid-flight (a probe sent, never received)
+        # is flushed together with the hop it still waits for
+        tag = ProbeTag(initiator=0, sequence=99)
+        engine.on_event(_sent(1e6, tag, source=0, target=1))
+        (fizzled,) = engine.finish()
+        assert fizzled.outcome is SpanOutcome.FIZZLED
+        assert fizzled.hops[0].received_at is None
+        assert engine.open_computations == 0
+        assert not engine._deferred
 
 
 class TestOnlineBounds:
